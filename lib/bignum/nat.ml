@@ -158,14 +158,11 @@ let mul_karatsuba (a : t) (b : t) : t =
 
 let mul_int a n = mul a (of_int n)
 
+let rec nbits x acc = if x = 0 then acc else nbits (x lsr 1) (acc + 1)
+
 let bit_length (a : t) =
   let l = Array.length a in
-  if l = 0 then 0
-  else begin
-    let top = a.(l - 1) in
-    let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-    ((l - 1) * base_bits) + bits top 0
-  end
+  if l = 0 then 0 else ((l - 1) * base_bits) + nbits a.(l - 1) 0
 
 let shift_left (a : t) s : t =
   if s < 0 then invalid_arg "Nat.shift_left: negative shift";
@@ -322,14 +319,96 @@ let rec gcd_reference a b = if is_zero b then a else gcd_reference b (rem a b)
 
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
+(* Lehmer's GCD (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L). Each round runs
+   Euclid on the leading 60 bits of u >= v with single-precision cofactors
+   (a, b; c, d), then applies them to both full operands at once:
+   u, v <- a*u + b*v, c*u + d*v. Cofactors are capped at 2^29, so every
+   limb combination x*u_i + y*v_i + carry stays below 2^61. *)
+let lehmer_cap = 1 lsl 29
+
+(* Bits [k, k + 60) of the [n]-limb buffer [u], where k = 30(n-1) + hb - 60
+   (n >= 3, hb = bit length of the top limb of the larger operand). *)
+let top60 (u : t) n hb = (u.(n - 1) lsl (60 - hb)) lor (u.(n - 2) lsl (30 - hb)) lor (u.(n - 3) lsr hb)
+
+(* Euclid on the leading bits [uh], [vh]. With u' = a*u + b*v and
+   v' = c*u + d*v, the true quotient u'/v' lies strictly between
+   (uh + a)/(vh + c) and (uh + b)/(vh + d) (the cofactor signs alternate),
+   so a step is exact when both floors agree. Stops at the first quotient
+   that is not certified or would push a cofactor past the cap, leaving
+   the cofactors in [cof]; false when no step was taken. *)
+let rec lehmer_steps (cof : int array) uh vh a b c d =
+  let dc = vh + c and dd = vh + d in
+  let q = if dc > 0 && dd > 0 then (uh + a) / dc else 0 in
+  let certified = q > 0 && q <= lehmer_cap && q = (uh + b) / dd in
+  let c' = a - (q * c) and d' = b - (q * d) in
+  if certified && Stdlib.abs c' <= lehmer_cap && Stdlib.abs d' <= lehmer_cap then
+    lehmer_steps cof vh (uh - (q * vh)) c d c' d'
+  else begin
+    cof.(0) <- a;
+    cof.(1) <- b;
+    cof.(2) <- c;
+    cof.(3) <- d;
+    b <> 0
+  end
+
+(* u, v <- a*u + b*v, c*u + d*v over the low [n] limbs, in place. Both
+   results are nonnegative remainders below u, so the carries end at 0. *)
+let lehmer_apply (u : t) (v : t) n a b c d =
+  let cu = ref 0 and cv = ref 0 in
+  for i = 0 to n - 1 do
+    let x = u.(i) and y = v.(i) in
+    let s = (a * x) + (b * y) + !cu and r = (c * x) + (d * y) + !cv in
+    u.(i) <- s land mask;
+    cu := s asr base_bits;
+    v.(i) <- r land mask;
+    cv := r asr base_bits
+  done;
+  assert (!cu = 0 && !cv = 0)
+
+let rec top_length (u : t) n = if n > 0 && u.(n - 1) = 0 then top_length u (n - 1) else n
+let low_int (u : t) n = if n = 0 then 0 else if n = 1 then u.(0) else u.(0) lor (u.(1) lsl base_bits)
+
+(* gcd of u >= v > 0 on two mutable buffers of u's length, zero above each
+   operand's length [nu], [nv]. A single [rem] step replaces a round when
+   v is more than one limb shorter than u or no quotient is certified. *)
+let gcd_lehmer (u0 : t) (v0 : t) : t =
+  let n0 = Array.length u0 in
+  let u = Array.copy u0 and v = Array.make n0 0 in
+  Array.blit v0 0 v 0 (Array.length v0);
+  let cof = Array.make 4 0 in
+  let rec go u nu v nv =
+    if nv = 0 then Array.sub u 0 nu
+    else if nu <= 2 then of_int (gcd_int (low_int u nu) (low_int v nv))
+    else begin
+      let hb = nbits u.(nu - 1) 0 in
+      if nv >= nu - 1 && lehmer_steps cof (top60 u nu hb) (top60 v nu hb) 1 0 0 1 then begin
+        lehmer_apply u v nu cof.(0) cof.(1) cof.(2) cof.(3);
+        go u (top_length u nu) v (top_length v nu)
+      end
+      else begin
+        let r = rem (Array.sub u 0 nu) (Array.sub v 0 nv) in
+        let nr = Array.length r in
+        Array.blit r 0 u 0 nr;
+        Array.fill u nr (nu - nr) 0;
+        go v nv u nr
+      end
+    end
+  in
+  go u n0 v (Array.length v0)
+
 let rec gcd a b =
-  (* Euclid on native ints once both operands fit; the limb loop only runs
-     until the remainders shrink into int range. *)
+  (* Native Euclid once both operands fit an int; a first [rem] when their
+     sizes differ by more than a limb, so the buffers are only copied for
+     balanced operands. *)
   if Arith.reference () then gcd_reference a b
   else begin
     match (to_int_opt a, to_int_opt b) with
     | Some ai, Some bi -> of_int (gcd_int ai bi)
-    | _ -> if is_zero b then a else gcd b (rem a b)
+    | _ ->
+      let u, v = if compare a b >= 0 then (a, b) else (b, a) in
+      if is_zero v then u
+      else if Array.length u > Array.length v + 1 then gcd v (rem u v)
+      else gcd_lehmer u v
   end
 
 let to_string (a : t) =

@@ -92,8 +92,13 @@ val pow : t -> int -> t
     [k < 0]. *)
 
 val gcd : t -> t -> t
-(** Greatest common divisor; [gcd 0 a = a]. Euclid on native ints once
-    both operands fit. *)
+(** Greatest common divisor; [gcd 0 a = a]. Lehmer's algorithm: each
+    round runs Euclid on the leading 60 bits with single-precision
+    cofactors (at most 2^29) and applies them to both full operands in one
+    linear pass; a single {!rem} step is taken when the operands differ in
+    size by more than a limb or no quotient can be certified. Native
+    Euclid once both operands fit an int; {!gcd_reference} under
+    [IPDB_ARITH_REFERENCE=1]. *)
 
 val gcd_reference : t -> t -> t
 (** Limb-loop Euclid with no native-int shortcut (differential oracle). *)

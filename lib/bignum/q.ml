@@ -317,7 +317,27 @@ let sum qs =
     Accum.total acc
   end
 
-let prod qs = List.fold_left mul one qs
+let prod_reference qs = List.fold_left mul_reference one qs
+
+(* Balanced binary splitting: the two operands of every multiplication
+   have about the same size, so the cost follows the size of the result
+   instead of growing quadratically as in a left fold, whose accumulator
+   meets one small factor at a time. Canonical values make the
+   association invisible: the result is the left fold's, bit for bit. *)
+let prod qs =
+  if Arith.reference () then prod_reference qs
+  else begin
+    let a = Array.of_list qs in
+    let rec go lo hi =
+      if hi - lo = 1 then a.(lo)
+      else begin
+        let mid = (lo + hi) / 2 in
+        mul (go lo mid) (go mid hi)
+      end
+    in
+    if Array.length a = 0 then one else go 0 (Array.length a)
+  end
+
 let mediant a b = make (Zint.add a.num b.num) (Zint.add (Zint.of_nat a.den) (Zint.of_nat b.den))
 
 (* ------------------------------------------------------------------ *)
@@ -414,6 +434,7 @@ module Reference = struct
   let div a b = mul_reference a (inv b)
   let compare = compare_reference
   let sum qs = List.fold_left add_reference zero qs
+  let prod = prod_reference
   let to_float = to_float_reference
 end
 

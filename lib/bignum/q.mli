@@ -101,6 +101,12 @@ val sum : t list -> t
     normalisation); the result is identical to the eager left fold. *)
 
 val prod : t list -> t
+(** Exact product, [one] for the empty list. In fast mode the factors are
+    multiplied by balanced binary splitting, so both operands of each
+    multiplication have about the same size. Because values are
+    canonical, the association cannot change the result: it is the left
+    fold's, bit for bit. Under [IPDB_ARITH_REFERENCE=1] it is the left
+    fold of {!Reference.mul} ({!Reference.prod}). *)
 
 val mediant : t -> t -> t
 (** [(a+c)/(b+d)] for [a/b] and [c/d]; lies strictly between them. *)
@@ -181,6 +187,10 @@ module Reference : sig
   val div : t -> t -> t
   val compare : t -> t -> int
   val sum : t list -> t
+
+  val prod : t list -> t
+  (** Left fold of {!mul} from [one]. *)
+
   val to_float : t -> float
 end
 

@@ -244,37 +244,26 @@ and eval_component ?pool ~depth budget comp =
     let cands = root_candidates comp root in
     let n = Array.length cands in
     Metrics.add m_candidates n;
-    let eval_one id =
-      check budget;
-      Q.one_minus (eval_atoms ?pool ~depth:(depth + 1) budget (List.map (subst_atom root id) comp))
+    (* The 1 − p factors land in one array, one slot per candidate; a
+       single Q.prod multiplies them. The pool only evaluates leaves, in
+       size-deterministic chunks: each slot is written by exactly one task,
+       and map_ordered's hand-off publishes the writes before the product
+       reads them. Canonical Q makes the product independent of the
+       association, so the answer is bit-identical for any jobs count. *)
+    let factors = Array.make n Q.one in
+    let fill lo hi =
+      for i = lo to hi do
+        check budget;
+        factors.(i) <-
+          Q.one_minus (eval_atoms ?pool ~depth:(depth + 1) budget (List.map (subst_atom root cands.(i)) comp))
+      done
     in
-    let miss_product =
-      match pool with
-      | Some pool when depth = 0 && n >= par_threshold ->
-        (* size-deterministic chunks; each worker folds its chunk's
-           1 − p factors, and the per-chunk products are folded in plan
-           order. Q.mul is exact, so the result is bit-identical to the
-           serial fold for any jobs count. *)
-        let chunks = List.of_seq (Chunk.plan ~size:chunk_size ~start:0 ~upto:(n - 1) ()) in
-        let partials =
-          Pool.map_ordered pool
-            ~f:(fun (c : Chunk.t) ->
-              let acc = ref Q.one in
-              for i = c.lo to c.hi do
-                acc := Q.mul !acc (eval_one cands.(i))
-              done;
-              !acc)
-            chunks
-        in
-        List.fold_left Q.mul Q.one partials
-      | _ ->
-        let acc = ref Q.one in
-        for i = 0 to n - 1 do
-          acc := Q.mul !acc (eval_one cands.(i))
-        done;
-        !acc
-    in
-    Q.one_minus miss_product
+    (match pool with
+    | Some pool when depth = 0 && n >= par_threshold ->
+      let chunks = List.of_seq (Chunk.plan ~size:chunk_size ~start:0 ~upto:(n - 1) ()) in
+      ignore (Pool.map_ordered pool ~f:(fun (c : Chunk.t) -> fill c.lo c.hi) chunks : unit list)
+    | _ -> fill 0 (n - 1));
+    Q.one_minus (Q.prod (Array.to_list factors))
 
 let eval_conj ?pool budget store (q : Pqe.cq) =
   match compile store q with

@@ -22,10 +22,15 @@
     [Pqe.lifted_cq_probability]'s whole-CQ check: repeated {e ground}
     atoms of one relation are fine, which inclusion–exclusion relies on.
 
-    Exact answers are rationals, independent of chunking and worker
-    count. One budget step is consumed per root candidate substitution
-    (and per Monte-Carlo sample), so step counts are a function of the
-    data alone — never of [--jobs]. *)
+    An independent project has one product path: the [1 − Pr(body)]
+    factors of its root candidates fill one array, evaluated in
+    size-deterministic chunks on the pool (top level, past
+    {!par_threshold}) or inline, and one balanced [Q.prod] multiplies
+    them. Exact answers are canonical rationals, so they are independent
+    of chunking, association and worker count. One budget step is
+    consumed per root candidate substitution (and per Monte-Carlo
+    sample), so step counts are a function of the data alone — never of
+    [--jobs]. *)
 
 module Q = Ipdb_bignum.Q
 module Fo = Ipdb_logic.Fo

@@ -277,6 +277,57 @@ let q_props =
         Q.leq a m && Q.leq m b)
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Work gate: allocated words of the fast paths, a deterministic proxy  *)
+(* for their cost (the same inputs allocate the same words every run)   *)
+(* ------------------------------------------------------------------ *)
+
+(* Gc.allocated_bytes in words, i.e. minor + major - promoted. The minor
+   part is read from Gc.minor_words: OCaml 5.1's Gc.counters (and so
+   Gc.allocated_bytes) undercounts the words allocated since the last
+   minor collection by the word size. *)
+let allocated_words_so_far () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let allocated_words f =
+  let before = allocated_words_so_far () in
+  ignore (Sys.opaque_identity (f ()));
+  allocated_words_so_far () -. before
+
+(* The bounds hold for the fast arithmetic only; the reference path runs
+   different algorithms and is not gated. *)
+let gate name bound f () =
+  if Ipdb_bignum.Arith.reference () then
+    Printf.printf "work gate %s: not evaluated under IPDB_ARITH_REFERENCE=1\n" name
+  else begin
+    let words = allocated_words f in
+    Printf.printf "work gate %s: %.0f words (bound %.0f)\n" name words bound;
+    if words > bound then Alcotest.failf "%s allocated %.0f words, bound %.0f" name words bound
+  end
+
+let fibonacci k =
+  let rec go a b i = if i = 0 then a else go b (Nat.add a b) (i - 1) in
+  go Nat.zero Nat.one k
+
+let test_gate_gcd () =
+  let a = fibonacci 3001 and b = fibonacci 3000 in
+  gate "Nat.gcd F(3001) F(3000)" 20_000. (fun () -> Nat.gcd a b) ()
+
+(* Kb-shaped factors: each the product of 49 complements (d - n)/d of
+   marginals n/d with d <= 12, like one root candidate of the kb-query
+   project query. *)
+let test_gate_prod () =
+  let st = Random.State.make [| 0x9a7e |] in
+  let factors =
+    List.init 1024 (fun _ ->
+        Q.prod
+          (List.init 49 (fun _ ->
+               let d = 2 + Random.State.int st 11 in
+               Q.of_ints (d - 1 - Random.State.int st (d - 1)) d)))
+  in
+  gate "Q.prod of 1024 kb factors" 1_600_000. (fun () -> Q.prod factors) ()
+
 let () =
   Alcotest.run "bignum"
     [ ( "nat-unit",
@@ -301,5 +352,9 @@ let () =
           Alcotest.test_case "decimal printing" `Quick test_q_decimal;
           Alcotest.test_case "float conversion" `Quick test_q_float
         ] );
-      ("q-props", q_props)
+      ("q-props", q_props);
+      ( "work-gate",
+        [ Alcotest.test_case "Nat.gcd on consecutive Fibonacci numbers" `Quick test_gate_gcd;
+          Alcotest.test_case "Q.prod over kb-shaped factors" `Quick test_gate_prod
+        ] )
     ]

@@ -134,6 +134,63 @@ let gen_straddle_pair st =
   | 1 -> (a, Q.sub a tiny)
   | _ -> (a, a)
 
+(* GCD operand pairs that reach the Lehmer loop: balanced sizes of 3+
+   limbs, where the leading-bits Euclid runs, and shapes that stress its
+   exits. *)
+let fibonacci k =
+  let rec go a b i = if i = 0 then a else go b (Nat.add a b) (i - 1) in
+  go Nat.zero Nat.one k
+
+(* A uniform Nat of exactly [limbs] 30-bit limbs; with [~high] its top
+   bit is set, so products of such values have predictable lengths. *)
+let gen_limbs ?(high = false) st limbs =
+  let limb () = Random.State.bits st in
+  let top = if high then limb () lor (1 lsl 29) else 1 + Random.State.int st ((1 lsl 30) - 1) in
+  let acc = ref (Nat.of_int top) in
+  for _ = 2 to limbs do
+    acc := Nat.add (Nat.shift_left !acc 30) (Nat.of_int (limb ()))
+  done;
+  !acc
+
+let smooth st =
+  List.fold_left
+    (fun acc p -> Nat.mul acc (Nat.pow (Nat.of_int p) (Random.State.int st 160)))
+    Nat.one [ 2; 3; 5; 7; 11 ]
+
+let gen_gcd_pair st =
+  match Random.State.int st 5 with
+  | 0 ->
+    (* equal limb counts of 3+ limbs around a planted common factor *)
+    let g = gen_limbs ~high:true st (1 + Random.State.int st 6) in
+    let l = 2 + Random.State.int st 30 in
+    (Nat.mul g (gen_limbs ~high:true st l), Nat.mul g (gen_limbs ~high:true st l))
+  | 1 ->
+    (* consecutive Fibonacci numbers: every quotient is 1 *)
+    let k = 100 + Random.State.int st 2000 in
+    (fibonacci (k + 1), fibonacci k)
+  | 2 -> (smooth st, smooth st) (* kb marginals are products of such *)
+  | 3 ->
+    let b = gen_limbs st (1 + Random.State.int st 30) in
+    let k = if Random.State.bool st then Nat.of_int (1 + Random.State.int st 1000) else gen_limbs st (1 + Random.State.int st 4) in
+    (Nat.mul k b, b)
+  | _ ->
+    (* equal in their top 60+ bits: the leading-bits quotient cannot be
+       certified, forcing the single rem step *)
+    let a = gen_limbs st (4 + Random.State.int st 30) in
+    let low = Nat.bit_length a - 61 - Random.State.int st 30 in
+    let b = Nat.add (Nat.shift_left (Nat.shift_right a low) low) (Nat.shift_right (gen_limbs st 40) (1200 - low)) in
+    (a, b)
+
+(* Factors of a kb-style product: random rationals, zeros, negatives and
+   the 1 - p complements of marginals p = n/d with d <= 12. *)
+let gen_factor st =
+  match Random.State.int st 6 with
+  | 0 -> gen_q st
+  | 1 -> if Random.State.int st 8 = 0 then Q.zero else Q.neg (gen_q st)
+  | _ ->
+    let d = 2 + Random.State.int st 11 in
+    Q.one_minus (Q.of_ints (1 + Random.State.int st (d - 1)) d)
+
 (* ------------------------------------------------------------------ *)
 (* Nat: limb algorithms vs their reference duals                        *)
 (* ------------------------------------------------------------------ *)
@@ -147,9 +204,9 @@ let nat_diff =
         let b = if Nat.is_zero b then Nat.one else b in
         let q1, r1 = Nat.divmod a b and q2, r2 = Nat.divmod_reference a b in
         Nat.equal q1 q2 && Nat.equal r1 r2);
-    prop ~count:1500 "gcd = gcd_reference" (fun st ->
-        let a = gen_nat st and b = gen_nat st in
-        Nat.equal (Nat.gcd a b) (Nat.gcd_reference a b))
+    prop ~count:2000 "gcd = gcd_reference" (fun st ->
+        let a, b = if Random.State.bool st then (gen_nat st, gen_nat st) else gen_gcd_pair st in
+        Nat.equal (Nat.gcd a b) (Nat.gcd_reference a b) && Nat.equal (Nat.gcd b a) (Nat.gcd_reference b a))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -173,8 +230,15 @@ let zint_diff =
         let a = Zint.of_int (gen_boundary_int st) in
         let k = Random.State.int st 9 in
         Zint.equal (Zint.pow a k) (Zint.Reference.pow a k));
-    prop ~count:1000 "gcd and compare = Reference" (fun st ->
-        let a = gen_zint st and b = gen_zint st in
+    prop ~count:1500 "gcd and compare = Reference" (fun st ->
+        let a, b =
+          if Random.State.bool st then (gen_zint st, gen_zint st)
+          else begin
+            let signed n = if Random.State.bool st then Zint.neg (Zint.of_nat n) else Zint.of_nat n in
+            let a, b = gen_gcd_pair st in
+            (signed a, signed b)
+          end
+        in
         Nat.equal (Zint.gcd a b) (Zint.Reference.gcd a b)
         && Zint.compare a b = Zint.Reference.compare a b)
   ]
@@ -212,6 +276,9 @@ let q_diff =
         let n = Random.State.int st 40 in
         let xs = List.init n (fun _ -> gen_q st) in
         q_same (Q.sum xs) (Q.Reference.sum xs));
+    prop ~count:200 "prod = Reference.prod" (fun st ->
+        let xs = List.init (Random.State.int st 301) (fun _ -> gen_factor st) in
+        q_same (Q.prod xs) (Q.Reference.prod xs));
     prop ~count:500 "pow: fast = forced-reference replay" (fun st ->
         let a = gen_q st in
         let k = Random.State.int st 17 - 8 in

@@ -165,6 +165,37 @@ let test_parallel_matches_serial () =
       Alcotest.(check int) "step count independent of jobs" steps_serial steps_par;
       Alcotest.(check int) "one step per root candidate" n steps_serial)
 
+(* The independent-project identity on a kb whose root candidates span
+   several pool chunks: ∃x∃y R(x,y) = 1 − ∏(1 − p) over the R column, the
+   product taken as the reference left fold, with 1 and 4 workers. *)
+let test_project_identity () =
+  let n = (2 * Lifted.par_threshold) + 600 in
+  let sch = Schema.make [ ("R", 2) ] in
+  let store = store_of_ti (Generate.ti (Generate.rng 23) ~schema:sch ~facts:n ~universe:(8 * n)) in
+  let h = Option.get (Store.handle store "R") in
+  let rows = List.init (Store.handle_rows h) Fun.id in
+  let roots = List.sort_uniq compare (List.map (fun row -> Store.cell h ~row ~pos:0) rows) in
+  Alcotest.(check bool) "root candidates span more than two chunks" true
+    (List.length roots > 2 * Lifted.par_threshold);
+  let expected = Q.one_minus (Q.Reference.prod (List.map (fun row -> Q.one_minus (Store.row_prob h row)) rows)) in
+  let phi = Fo.Exists ("x", Fo.Exists ("y", Fo.Atom ("R", [ Fo.V "x"; Fo.V "y" ]))) in
+  let run jobs =
+    let pool = Pool.create ~jobs () in
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        let budget = Budget.make ~max_steps:1_000_000 () in
+        match Lifted.query ~pool ~budget store phi with
+        | Ok (Lifted.Exact p) -> (p, Budget.steps_used budget)
+        | Ok (Lifted.Estimated _) -> Alcotest.fail "safe query fell back to sampling"
+        | Error e -> Alcotest.fail (Error.message e))
+  in
+  let p1, steps1 = run 1 and p4, steps4 = run 4 in
+  Alcotest.(check bool) "jobs=1 equals 1 − Reference.prod" true (Q.equal p1 expected);
+  Alcotest.(check bool) "jobs=4 equals 1 − Reference.prod" true (Q.equal p4 expected);
+  Alcotest.(check int) "step count independent of jobs" steps1 steps4;
+  Alcotest.(check int) "one step per candidate at each depth" (List.length roots + List.length rows) steps1
+
 (* ------------------------------------------------------------------ *)
 (* Store unit tests                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -385,6 +416,7 @@ let () =
           prop "lifted UCQ = boolean_probability_exact on sub-gate instances" arb_kb_case lifted_agrees_with_enumeration;
           prop ~count:150 "union reordering and CQ renaming are invisible" arb_kb_case metamorphic_invariance;
           Alcotest.test_case "pool fan-out is bit-identical and step-invariant" `Quick test_parallel_matches_serial;
+          Alcotest.test_case "independent-project identity across chunks" `Quick test_project_identity;
           Alcotest.test_case "exact independence certification" `Quick test_independence;
         ] );
       ( "store",
