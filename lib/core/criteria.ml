@@ -51,37 +51,6 @@ let traced_check cert ~verdict_of run =
         Trace.annotate [ ("verdict", OJson.String (verdict_label (verdict_of r))) ];
         r)
 
-let check_series ?pool ?budget ~start ~cert ~upto term =
-  traced_check cert ~verdict_of:Fun.id @@ fun () ->
-  match cert with
-  | Tail tail -> (
-    match Series.sum_budgeted ?pool ?budget ~start term ~tail ~upto with
-    | Ok (Series.Complete enclosure) -> Finite_sum enclosure
-    | Ok (Series.Exhausted p) ->
-      Partial
-        {
-          enclosure = p.Series.enclosure;
-          partial = Interval.midpoint p.Series.prefix;
-          at = p.Series.last;
-          requested = p.Series.requested;
-          exhausted = p.Series.exhausted;
-        }
-    | Error (Ipdb_run.Error.Certificate { msg; _ }) -> Invalid_certificate msg
-    | Error e -> Check_failed e)
-  | Divergence certificate -> (
-    match Series.certify_divergence_budgeted ?pool ?budget ~start term ~certificate ~upto with
-    | Ok (Series.Div_complete { partial; at }) -> Infinite_sum { partial; at }
-    | Ok (Series.Div_exhausted { partial; last; requested; exhausted; _ }) ->
-      Partial { enclosure = None; partial; at = last; requested; exhausted }
-    | Error (Ipdb_run.Error.Certificate { msg; _ }) -> Invalid_certificate msg
-    | Error e -> Check_failed e)
-
-let moment_verdict ?pool ?budget fam ~k ~cert ~upto =
-  check_series ?pool ?budget ~start:fam.Family.start ~cert ~upto (Family.moment_term fam ~k)
-
-let theorem53_verdict ?pool ?budget fam ~c ~cert ~upto =
-  check_series ?pool ?budget ~start:fam.Family.start ~cert ~upto (Family.theorem53_term fam ~c)
-
 let check_series_resumable ?pool ?budget ?from ?progress ?progress_every ~start ~cert ~upto term =
   traced_check cert ~verdict_of:fst @@ fun () ->
   match cert with
@@ -110,6 +79,15 @@ let check_series_resumable ?pool ?budget ?from ?progress ?progress_every ~start 
       (Partial { enclosure = None; partial; at = last; requested; exhausted }, Some snap)
     | Error (Ipdb_run.Error.Certificate { msg; _ }) -> (Invalid_certificate msg, None)
     | Error e -> (Check_failed e, None))
+
+let check_series ?pool ?budget ~start ~cert ~upto term =
+  fst (check_series_resumable ?pool ?budget ~start ~cert ~upto term)
+
+let moment_verdict ?pool ?budget fam ~k ~cert ~upto =
+  check_series ?pool ?budget ~start:fam.Family.start ~cert ~upto (Family.moment_term fam ~k)
+
+let theorem53_verdict ?pool ?budget fam ~c ~cert ~upto =
+  check_series ?pool ?budget ~start:fam.Family.start ~cert ~upto (Family.theorem53_term fam ~c)
 
 let moment_verdict_resumable ?pool ?budget ?from ?progress ?progress_every fam ~k ~cert ~upto =
   check_series_resumable ?pool ?budget ?from ?progress ?progress_every ~start:fam.Family.start ~cert

@@ -50,9 +50,10 @@ val check_series :
 (** Validate the certificate on the computed prefix and produce the
     verdict, consuming one budget step per term. Never raises: faults in
     term evaluation or certificate validation surface as
-    {!Invalid_certificate} / {!Check_failed}. With [?pool] the chunked
-    parallel series engines run instead — completed verdicts are
-    bit-identical to the sequential ones for any worker count (see
+    {!Invalid_certificate} / {!Check_failed}. This is
+    {!check_series_resumable} without the snapshot. With [?pool] the
+    series engines run their chunks on the pool; verdicts are identical
+    with and without one, for any worker count (see
     {!Ipdb_series.Series.sum_resumable}). *)
 
 val moment_verdict :
@@ -76,7 +77,7 @@ val verdict_to_string : series_verdict -> string
     through the budgeted engines: [from] restarts a check from the exact
     state a previous (budget-exhausted) run stopped at, and [progress]
     observes the state every [progress_every] terms so callers can
-    checkpoint mid-flight. Because the engines are sequential folds over
+    checkpoint mid-flight. Because the engines fold in index order over
     exactly-persisted state, an interrupted-and-resumed check returns the
     same verdict, bit for bit, as an uninterrupted one. *)
 

@@ -4,17 +4,26 @@ let take n seq =
   go [] n seq
 
 let map_fold pool ?window ~map ~fold ~init seq =
-  let window = match window with Some w -> max 1 w | None -> 4 * Pool.jobs pool in
-  let rec wave acc seq =
-    let items, rest = take window seq in
-    match items with
-    | [] -> Ok acc
-    | _ -> (
-        let mapped = Pool.map_ordered pool ~f:map items in
-        let rec merge acc = function
-          | [] -> wave acc rest
-          | r :: tl -> ( match fold acc r with Ok acc -> merge acc tl | Error _ as e -> e)
-        in
-        merge acc mapped)
-  in
-  wave init seq
+  match pool with
+  | None ->
+      let rec go acc seq =
+        match seq () with
+        | Seq.Nil -> Ok acc
+        | Seq.Cons (x, rest) -> ( match fold acc (map x) with Ok acc -> go acc rest | Error _ as e -> e)
+      in
+      go init seq
+  | Some pool ->
+      let window = match window with Some w -> max 1 w | None -> 4 * Pool.jobs pool in
+      let rec wave acc seq =
+        let items, rest = take window seq in
+        match items with
+        | [] -> Ok acc
+        | _ -> (
+            let mapped = Pool.map_ordered pool ~f:map items in
+            let rec merge acc = function
+              | [] -> wave acc rest
+              | r :: tl -> ( match fold acc r with Ok acc -> merge acc tl | Error _ as e -> e)
+            in
+            merge acc mapped)
+      in
+      wave init seq

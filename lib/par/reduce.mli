@@ -10,14 +10,14 @@
     lazily produced) input sequence. *)
 
 val map_fold :
-  Pool.t ->
+  Pool.t option ->
   ?window:int ->
   map:('a -> 'b) ->
   fold:('acc -> 'b -> ('acc, 'stop) result) ->
   init:'acc ->
   'a Seq.t ->
   ('acc, 'stop) result
-(** [map_fold pool ~map ~fold ~init items] maps every item on the pool and
+(** [map_fold (Some pool) ~map ~fold ~init items] maps every item on the pool and
     folds the results in input order.  [fold] returning [Error stop] stops
     the reduction: no further items are pulled from the sequence (so a lazy
     producer stops producing) and remaining in-flight results of the
@@ -27,6 +27,10 @@ val map_fold :
     [window] (default [4 * Pool.jobs pool], min 1) is the wave size: each
     wave pulls up to [window] items, maps them concurrently (a barrier),
     then folds them in order before pulling the next wave.
+
+    With [None] there is no pool: each item is mapped on the calling
+    domain and folded before the next one is pulled, and [window] is
+    ignored. The result is the one a pool of any size would give.
 
     The input sequence is pulled at most once per element; effectful
     sequences (e.g. budget-admission wrappers) are safe. *)

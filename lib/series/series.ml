@@ -58,25 +58,6 @@ module Tail = struct
       if rate >= 0.0 && rate < 1.0 && coeff >= 0.0 then Ok ()
       else Error "Exponential: need 0 <= rate < 1 and coeff >= 0"
 
-  let validate t f ~from_index ~upto =
-    match params_ok t with
-    | Error _ as e -> e
-    | Ok () ->
-      let lo = Stdlib.max from_index (Stdlib.max (start_index t) from_index) in
-      let rec go n =
-        if n > upto then Ok ()
-        else begin
-          let a = f n in
-          if a < 0.0 then Error (Printf.sprintf "term %d is negative (%g)" n a)
-          else begin
-            let b = pointwise_bound t n in
-            if a <= b +. ulp_slack b then go (n + 1)
-            else Error (Printf.sprintf "term %d = %g exceeds certified bound %g" n a b)
-          end
-        end
-      in
-      go lo
-
   let pp fmt = function
     | Finite_support { last } -> Format.fprintf fmt "finite support (last=%d)" last
     | Geometric { index; first; ratio } -> Format.fprintf fmt "geometric from %d: %g * %g^(n-%d)" index first ratio index
@@ -94,61 +75,6 @@ module Divergence = struct
   let start_index = function
     | Harmonic { index; _ } | Bounded_below { index; _ } | Eventually_ratio_ge_one { index; _ } -> index
     | Subsequence_harmonic { index; pick; _ } -> pick index
-
-  let validate t f ~upto =
-    let i0 = start_index t in
-    match t with
-    | Harmonic { coeff; _ } ->
-      if coeff <= 0.0 then Error "Harmonic: coeff must be positive"
-      else begin
-        let rec go n =
-          if n > upto then Ok ()
-          else begin
-            let b = coeff /. float_of_int n in
-            if f n >= b -. ulp_slack b then go (n + 1)
-            else Error (Printf.sprintf "term %d = %g below harmonic minorant %g" n (f n) b)
-          end
-        in
-        go (Stdlib.max i0 1)
-      end
-    | Bounded_below { bound; _ } ->
-      if bound <= 0.0 then Error "Bounded_below: bound must be positive"
-      else begin
-        let rec go n =
-          if n > upto then Ok ()
-          else if f n >= bound -. ulp_slack bound then go (n + 1)
-          else Error (Printf.sprintf "term %d = %g below floor %g" n (f n) bound)
-        in
-        go i0
-      end
-    | Eventually_ratio_ge_one { floor; _ } ->
-      if floor <= 0.0 then Error "Eventually_ratio_ge_one: floor must be positive"
-      else begin
-        let rec go n =
-          if n > upto then Ok ()
-          else if f n < floor -. ulp_slack floor then
-            Error (Printf.sprintf "term %d = %g below floor %g" n (f n) floor)
-          else if n < upto && f (n + 1) < f n -. ulp_slack (f n) then
-            Error (Printf.sprintf "terms decrease at %d" n)
-          else go (n + 1)
-        in
-        go i0
-      end
-    | Subsequence_harmonic { index; pick; coeff } ->
-      if coeff <= 0.0 then Error "Subsequence_harmonic: coeff must be positive"
-      else begin
-        let rec go k prev =
-          let n = pick k in
-          if n > upto then Ok ()
-          else if n <= prev then Error (Printf.sprintf "pick not strictly increasing at %d" k)
-          else begin
-            let b = coeff /. float_of_int k in
-            if f n >= b -. ulp_slack b then go (k + 1) n
-            else Error (Printf.sprintf "term at pick %d = %d is %g, below minorant %g" k n (f n) b)
-          end
-        in
-        go (Stdlib.max index 1) min_int
-      end
 
   let minorant_partial_sum t n =
     match t with
@@ -176,13 +102,6 @@ end
 type verdict =
   | Converges of Interval.t
   | Diverges of { certificate : Divergence.t; partial : float; at : int }
-
-let partial_sum ?(start = 0) f n =
-  let acc = ref 0.0 in
-  for k = start to n do
-    acc := !acc +. f k
-  done;
-  !acc
 
 let partial_sum_interval ?(start = 0) f n =
   let acc = ref Interval.zero in
@@ -273,6 +192,15 @@ let admit_chunks ~budget ~stop plan =
   in
   admit plan
 
+(* Chunk size of a plan: [?chunk] when given, else the default, capped at
+   [progress_every] under a progress callback so that snapshots still land
+   on every multiple of [progress_every] up to the default size. *)
+let plan_size ?chunk ?progress ~progress_every () =
+  match (chunk, progress) with
+  | Some s, _ -> Stdlib.max 1 s
+  | None, Some _ -> Stdlib.max 1 (Stdlib.min Chunk.default_size progress_every)
+  | None, None -> Chunk.default_size
+
 (* Worker-side budget poll for chunks whose steps were reserved up front:
    an admitted chunk must run to completion under a pure step budget (or
    the stop index would depend on scheduling), so latched step exhaustion
@@ -282,16 +210,16 @@ let poll_cut budget =
   | Ok () | Error (Run_error.Steps _) -> None
   | Error e -> Some e
 
-(* The tight loops below are pure engine-overhead removal. They are taken
-   only when every per-term hook is provably inert: the budget can never
-   trip ([Budget.check] on an unlimited budget is a branch that updates
-   nothing), metrics and tracing are off ([Metrics.incr] would be a
-   no-op), and the term/certificate fault sites are not armed ([fire]
-   would not raise). Under those conditions the instrumented loops and
-   the tight loops are observationally identical: same term evaluations
-   in the same order, same directed-rounding accumulation, same progress
-   emission points, same snapshots, bit for bit. IPDB_ARITH_REFERENCE=1
-   disqualifies them, forcing the original instrumented loops. *)
+(* The engines' [fast] branches below are pure engine-overhead removal.
+   They are taken only when every per-term hook is provably inert: the
+   budget can never trip (polling an unlimited budget updates nothing),
+   metrics and tracing are off ([Metrics.incr] would be a no-op), and the
+   term/certificate fault sites are not armed ([fire] would not raise).
+   Under those conditions the instrumented and fast branches are
+   observationally identical: same term evaluations in the same order,
+   same directed-rounding accumulation, same progress emission points,
+   same snapshots, bit for bit. IPDB_ARITH_REFERENCE=1 disqualifies them,
+   forcing the instrumented branches. *)
 let fast_eligible budget =
   (not (Ipdb_bignum.Arith.reference ()))
   && Budget.is_unlimited budget
@@ -300,7 +228,7 @@ let fast_eligible budget =
   && (not (Faultinj.armed Faultinj.Term_eval))
   && not (Faultinj.armed Faultinj.Certificate)
 
-(* Directed rounding for the tight loops, locally unboxed. Semantically
+(* Directed rounding for the fast fold, locally unboxed. Semantically
    identical to [Interval.down]/[Interval.up]: [x -. x = 0.0] is the
    allocation-free finiteness test and [Float.pred]/[Float.succ] are
    defined as [next_after] toward the corresponding infinity. Declared
@@ -379,58 +307,9 @@ let tail_bound_opt tail n =
       if Float.is_nan b || b < 0.0 then None else Some b
     end
 
-let certify_divergence ?(start = 0) f ~certificate ~upto =
-  ignore start;
-  match Divergence.validate certificate f ~upto with
-  | Error _ as e -> e
-  | Ok () -> Ok (Diverges { certificate; partial = partial_sum ~start:(Divergence.start_index certificate) f upto; at = upto })
-
 type divergence_budgeted =
   | Div_complete of { partial : float; at : int }
   | Div_exhausted of { partial : float; minorant : float; last : int; requested : int; exhausted : Run_error.exhaustion }
-
-exception Stop of Run_error.exhaustion
-
-let certify_divergence_budgeted ?(start = 0) ?(budget = Budget.unlimited) f ~certificate ~upto =
-  ignore start;
-  traced_engine "series.divergence" ~pooled:false
-    ~start:(Divergence.start_index certificate) ~upto ~budget
-    ~outcome:(function Div_complete _ -> "complete" | Div_exhausted _ -> "exhausted")
-  @@ fun () ->
-  (* The minorant checkers have four different traversal orders; rather than
-     fusing a budget into each, the term function itself is instrumented:
-     it pays one budget step per evaluation and accumulates each distinct
-     index's term into the witness partial sum. *)
-  let acc = ref 0.0 in
-  let seen = ref min_int in
-  let wrapped n =
-    (match Budget.check budget with Error reason -> raise (Stop reason) | Ok () -> ());
-    Metrics.incr m_terms;
-    Faultinj.fire Faultinj.Term_eval;
-    let a = f n in
-    if n > !seen then begin
-      seen := n;
-      if not (Float.is_nan a) then acc := !acc +. a
-    end;
-    a
-  in
-  match Divergence.validate certificate wrapped ~upto with
-  | exception Stop exhausted ->
-    let last = if !seen = min_int then Divergence.start_index certificate - 1 else !seen in
-    Ok
-      (Div_exhausted
-         {
-           partial = !acc;
-           minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
-           last;
-           requested = upto;
-           exhausted;
-         })
-  | exception Faultinj.Injected site -> Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-  | exception e ->
-    Error (Run_error.Certificate { what = "divergence certificate"; msg = "term evaluation raised " ^ Printexc.to_string e })
-  | Error msg -> Error (Run_error.Certificate { what = "divergence certificate"; msg })
-  | Ok () -> Ok (Div_complete { partial = !acc; at = upto })
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and resumable engines                                      *)
@@ -608,173 +487,85 @@ let sum_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unlimited) ?from ?
           ( Exhausted { enclosure; prefix = acc; last; requested = upto; exhausted },
             snapshot (last + 1) acc )
       in
-      let tick n acc =
-        match progress with
-        | Some emit when (n - n0) mod progress_every = 0 -> emit (snapshot n acc)
-        | _ -> ()
+      (* Chunked engine. [run_chunk] evaluates and validates terms into a
+         chunk array, on pool workers or, without a pool, inline; the
+         interval fold below replays them strictly in index order, so a
+         completed run is bit-identical for every worker count. *)
+      let size = plan_size ?chunk ?progress ~progress_every () in
+      let admit_stop = ref None in
+      let bufs = buf_pool_make size 0.0 in
+      let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:n0 ~upto ()) in
+      let run_chunk (c : Chunk.t) =
+        Metrics.incr m_chunks;
+        Trace.with_span "series.chunk"
+          ~attrs:[ ("lo", OJson.Int c.Chunk.lo); ("hi", OJson.Int c.Chunk.hi) ]
+        @@ fun () ->
+        let arr = buf_take bufs (Chunk.length c) in
+        let rec at n =
+          if n > c.Chunk.hi then `Terms arr
+          else begin
+            match (if (not fast) && (n - c.Chunk.lo) land 15 = 0 then poll_cut budget else None) with
+            | Some exh -> `Cut exh
+            | None -> (
+              match eval n with
+              | exception Faultinj.Injected site ->
+                `Fail (Run_error.Injected_fault { site = Faultinj.site_name site })
+              | exception e ->
+                `Fail
+                  (Run_error.Certificate
+                     { what = Printf.sprintf "term %d" n; msg = "term evaluation raised " ^ Printexc.to_string e })
+              | a ->
+                if Float.is_nan a || a < 0.0 then
+                  `Fail
+                    (Run_error.Certificate
+                       { what = Printf.sprintf "term %d" n; msg = Printf.sprintf "term is not a non-negative number (%g)" a })
+                else begin
+                  match validate n a with
+                  | exception Faultinj.Injected site ->
+                    `Fail (Run_error.Injected_fault { site = Faultinj.site_name site })
+                  | Error msg -> `Fail (Run_error.Certificate { what = "tail certificate"; msg })
+                  | Ok () ->
+                    arr.(n - c.Chunk.lo) <- a;
+                    at (n + 1)
+                end)
+          end
+        in
+        (c, at c.Chunk.lo)
       in
-      let rec go n acc =
-        if n > upto then begin
+      let fold (acc, next, emitted) (c, outcome) =
+        match outcome with
+        | `Fail e -> Error (`Fail e)
+        | `Cut exh -> Error (`Cut (acc, next, exh))
+        | `Terms arr ->
+          let acc = if fast then fold_terms_fast acc arr else Array.fold_left accumulate acc arr in
+          buf_give bufs arr;
+          let next = c.Chunk.hi + 1 in
+          let emitted =
+            match progress with
+            | Some emit ->
+              let due = (next - n0) / progress_every in
+              if due > emitted then begin
+                emit (snapshot next acc);
+                due
+              end
+              else emitted
+            | None -> emitted
+          in
+          Ok (acc, next, emitted)
+      in
+      match Reduce.map_fold pool ~map:run_chunk ~fold ~init:(acc0, n0, 0) chunks with
+      | Error (`Fail e) -> Error e
+      | Error (`Cut (acc, next, exh)) -> stop acc (next - 1) exh
+      | Ok (acc, next, _) -> (
+        match !admit_stop with
+        | Some exh -> stop acc (next - 1) exh
+        | None -> (
           match tail_bound_opt tail (upto + 1) with
-          | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot n acc)
+          | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot next acc)
           | None ->
             Error
               (Run_error.Certificate
-                 { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" })
-        end
-        else begin
-          match Budget.check budget with
-          | Error exhausted -> stop acc (n - 1) exhausted
-          | Ok () -> (
-            match eval n with
-            | exception Faultinj.Injected site ->
-              Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-            | exception e ->
-              Error
-                (Run_error.Certificate
-                   { what = Printf.sprintf "term %d" n; msg = "term evaluation raised " ^ Printexc.to_string e })
-            | a ->
-              if Float.is_nan a || a < 0.0 then
-                Error
-                  (Run_error.Certificate
-                     { what = Printf.sprintf "term %d" n; msg = Printf.sprintf "term is not a non-negative number (%g)" a })
-              else begin
-                match validate n a with
-                | exception Faultinj.Injected site ->
-                  Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-                | Error msg -> Error (Run_error.Certificate { what = "tail certificate"; msg })
-                | Ok () ->
-                  let acc = accumulate acc a in
-                  tick (n + 1) acc;
-                  go (n + 1) acc
-              end)
-        end
-      in
-      (* Tight sequential loop: same traversal, same checks, same rounding
-         and emission points as [go], with the per-term hooks elided (they
-         are inert under [fast]) and the enclosure endpoints carried as
-         plain floats instead of one interval allocation per term. *)
-      let go_fast n0 acc0 =
-        let rec loop n lo hi =
-          if n > upto then begin
-            let acc = Interval.make lo hi in
-            match tail_bound_opt tail (upto + 1) with
-            | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot n acc)
-            | None ->
-              Error
-                (Run_error.Certificate
-                   { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" })
-          end
-          else begin
-            match f n with
-            | exception Faultinj.Injected site ->
-              Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-            | exception e ->
-              Error
-                (Run_error.Certificate
-                   { what = Printf.sprintf "term %d" n; msg = "term evaluation raised " ^ Printexc.to_string e })
-            | a ->
-              if Float.is_nan a || a < 0.0 then
-                Error
-                  (Run_error.Certificate
-                     { what = Printf.sprintf "term %d" n; msg = Printf.sprintf "term is not a non-negative number (%g)" a })
-              else begin
-                match validate n a with
-                | Error msg -> Error (Run_error.Certificate { what = "tail certificate"; msg })
-                | Ok () ->
-                  let lo = round_down (lo +. a) and hi = round_up (hi +. a) in
-                  (match progress with
-                  | Some emit when (n + 1 - n0) mod progress_every = 0 ->
-                    emit (snapshot (n + 1) (Interval.make lo hi))
-                  | _ -> ());
-                  loop (n + 1) lo hi
-              end
-          end
-        in
-        loop n0 (Interval.lo acc0) (Interval.hi acc0)
-      in
-      match pool with
-      | None -> if fast then go_fast n0 acc0 else go n0 acc0
-      | Some pool ->
-        (* Chunked parallel engine. Workers evaluate and validate terms
-           into per-chunk arrays; the interval fold below replays them
-           strictly in index order, so a completed run is bit-identical
-           to [go n0 acc0] for any worker count. *)
-        let size = match chunk with Some s -> Stdlib.max 1 s | None -> Chunk.default_size in
-        let admit_stop = ref None in
-        let bufs = buf_pool_make size 0.0 in
-        let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:n0 ~upto ()) in
-        let run_chunk (c : Chunk.t) =
-          Metrics.incr m_chunks;
-          Trace.with_span "series.chunk"
-            ~attrs:[ ("lo", OJson.Int c.Chunk.lo); ("hi", OJson.Int c.Chunk.hi) ]
-          @@ fun () ->
-          let arr = buf_take bufs (Chunk.length c) in
-          let rec at n =
-            if n > c.Chunk.hi then `Terms arr
-            else begin
-              match (if (not fast) && (n - c.Chunk.lo) land 15 = 0 then poll_cut budget else None) with
-              | Some exh -> `Cut exh
-              | None -> (
-                match eval n with
-                | exception Faultinj.Injected site ->
-                  `Fail (Run_error.Injected_fault { site = Faultinj.site_name site })
-                | exception e ->
-                  `Fail
-                    (Run_error.Certificate
-                       { what = Printf.sprintf "term %d" n; msg = "term evaluation raised " ^ Printexc.to_string e })
-                | a ->
-                  if Float.is_nan a || a < 0.0 then
-                    `Fail
-                      (Run_error.Certificate
-                         { what = Printf.sprintf "term %d" n; msg = Printf.sprintf "term is not a non-negative number (%g)" a })
-                  else begin
-                    match validate n a with
-                    | exception Faultinj.Injected site ->
-                      `Fail (Run_error.Injected_fault { site = Faultinj.site_name site })
-                    | Error msg -> `Fail (Run_error.Certificate { what = "tail certificate"; msg })
-                    | Ok () ->
-                      arr.(n - c.Chunk.lo) <- a;
-                      at (n + 1)
-                  end)
-            end
-          in
-          (c, at c.Chunk.lo)
-        in
-        let fold (acc, next, emitted) (c, outcome) =
-          match outcome with
-          | `Fail e -> Error (`Fail e)
-          | `Cut exh -> Error (`Cut (acc, next, exh))
-          | `Terms arr ->
-            let acc = if fast then fold_terms_fast acc arr else Array.fold_left accumulate acc arr in
-            buf_give bufs arr;
-            let next = c.Chunk.hi + 1 in
-            let emitted =
-              match progress with
-              | Some emit ->
-                let due = (next - n0) / progress_every in
-                if due > emitted then begin
-                  emit (snapshot next acc);
-                  due
-                end
-                else emitted
-              | None -> emitted
-            in
-            Ok (acc, next, emitted)
-        in
-        (match Reduce.map_fold pool ~map:run_chunk ~fold ~init:(acc0, n0, 0) chunks with
-        | Error (`Fail e) -> Error e
-        | Error (`Cut (acc, next, exh)) -> stop acc (next - 1) exh
-        | Ok (acc, next, _) -> (
-          match !admit_stop with
-          | Some exh -> stop acc (next - 1) exh
-          | None -> (
-            match tail_bound_opt tail (upto + 1) with
-            | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot next acc)
-            | None ->
-              Error
-                (Run_error.Certificate
-                   { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" })))))
+                 { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" }))))
 
 let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unlimited) ?from
     ?progress ?(progress_every = 1000) f ~certificate ~upto =
@@ -783,9 +574,8 @@ let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unl
     ~start:(Divergence.start_index certificate) ~upto ~budget
     ~outcome:(function Div_complete _, _ -> "complete" | Div_exhausted _, _ -> "exhausted")
   @@ fun () ->
-  (* A sequential re-implementation of [Divergence.validate]'s four
-     traversals: one term evaluation and one budget step per index, with
-     the cross-index context ([prev_term] for the ratio certificate,
+  (* One term evaluation and one budget step per loop index, with the
+     cross-index context ([prev_term] for the ratio certificate,
      [prev_pick] for the subsequence one) carried explicitly so it can be
      checkpointed and restored. The witness partial sum is a left fold in
      index order, hence bit-for-bit reproducible across resumes. *)
@@ -827,7 +617,6 @@ let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unl
     match init with
     | Error _ as e -> e
     | Ok st0 ->
-      let cert_error msg = Error (Run_error.Certificate { what = "divergence certificate"; msg }) in
       let snapshot k partial prev_term prev_pick =
         Snapshot.Div_state { div_start = i0; next_k = k; partial; prev_term; prev_pick }
       in
@@ -850,245 +639,172 @@ let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unl
           if prev_pick = min_int then Divergence.start_index certificate - 1 else prev_pick
         | _ -> k - 1
       in
-      let rec go k partial prev prev_pick =
-        let n = index_of k in
-        if n > upto then
-          Ok (Div_complete { partial; at = upto }, snapshot k partial prev prev_pick)
-        else begin
-          match Budget.check budget with
-          | Error exhausted ->
-            let last = last_evaluated k prev_pick in
-            Ok
-              ( Div_exhausted
-                  {
-                    partial;
-                    minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
-                    last;
-                    requested = upto;
-                    exhausted;
-                  },
-                snapshot k partial prev prev_pick )
-          | Ok () -> (
-            match eval n with
-            | exception Faultinj.Injected site ->
-              Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-            | exception e ->
-              cert_error ("term evaluation raised " ^ Printexc.to_string e)
-            | a -> (
-              let verdict =
-                match certificate with
-                | Divergence.Harmonic { coeff; _ } ->
-                  let b = coeff /. float_of_int n in
-                  if a >= b -. ulp_slack b then Ok ()
-                  else Error (Printf.sprintf "term %d = %g below harmonic minorant %g" n a b)
-                | Divergence.Bounded_below { bound; _ } ->
-                  if a >= bound -. ulp_slack bound then Ok ()
-                  else Error (Printf.sprintf "term %d = %g below floor %g" n a bound)
-                | Divergence.Eventually_ratio_ge_one { floor; _ } ->
-                  if a < floor -. ulp_slack floor then
-                    Error (Printf.sprintf "term %d = %g below floor %g" n a floor)
-                  else (
-                    match prev with
-                    | Some p when a < p -. ulp_slack p ->
-                      Error (Printf.sprintf "terms decrease at %d" (n - 1))
-                    | _ -> Ok ())
-                | Divergence.Subsequence_harmonic { coeff; _ } ->
-                  if prev_pick <> min_int && n <= prev_pick then
-                    Error (Printf.sprintf "pick not strictly increasing at %d" k)
-                  else begin
-                    let b = coeff /. float_of_int k in
-                    if a >= b -. ulp_slack b then Ok ()
-                    else Error (Printf.sprintf "term at pick %d = %d is %g, below minorant %g" k n a b)
-                  end
-              in
-              match verdict with
-              | Error msg -> cert_error msg
-              | Ok () ->
-                let partial = if Float.is_nan a then partial else partial +. a in
-                let prev = Some a in
-                (match progress with
-                | Some emit when (k + 1 - st0.Snapshot.next_k) mod progress_every = 0 ->
-                  emit (snapshot (k + 1) partial prev n)
-                | _ -> ());
-                go (k + 1) partial prev n))
-        end
+      (* Chunked engine over the loop index k, on pool workers or, without
+         a pool, inline. [run_chunk] evaluates terms and checks the
+         pointwise minorant hypotheses; the witness fold and the
+         cross-index checks (ratio decrease at a chunk boundary, pick
+         monotonicity) replay in k order, in per-index check order. *)
+      let k0 = st0.Snapshot.next_k in
+      let size = plan_size ?chunk ?progress ~progress_every () in
+      (* Upper bound on k: for a plain certificate the loop index is the
+         term index; for a subsequence, [pick] strictly increasing means
+         pick k >= pick k0 + (k - k0), so the first k with pick k > upto
+         is at most k0 + (upto - pick k0) + 1. *)
+      let kmax =
+        match certificate with
+        | Divergence.Subsequence_harmonic { pick; _ } ->
+          let n_first = pick k0 in
+          if n_first > upto then k0 - 1 else k0 + (upto - n_first)
+        | _ -> upto
       in
-      match pool with
-      | None -> go st0.Snapshot.next_k st0.Snapshot.partial st0.Snapshot.prev_term st0.Snapshot.prev_pick
-      | Some pool ->
-        (* Chunked parallel engine over the loop index k. Workers evaluate
-           terms and check the pointwise minorant hypotheses; the witness
-           fold and the cross-index checks (ratio decrease at a chunk
-           boundary, pick monotonicity) replay in k order here, mirroring
-           [go]'s per-index check order exactly. *)
-        let k0 = st0.Snapshot.next_k in
-        let size = match chunk with Some s -> Stdlib.max 1 s | None -> Chunk.default_size in
-        (* Upper bound on k: for a plain certificate the loop index is the
-           term index; for a subsequence, [pick] strictly increasing means
-           pick k >= pick k0 + (k - k0), so the first k with pick k > upto
-           is at most k0 + (upto - pick k0) + 1. *)
-        let kmax =
-          match certificate with
-          | Divergence.Subsequence_harmonic { pick; _ } ->
-            let n_first = pick k0 in
-            if n_first > upto then k0 - 1 else k0 + (upto - n_first)
-          | _ -> upto
-        in
-        let admit_stop = ref None in
-        let term_bufs = buf_pool_make size 0.0 in
-        let pick_bufs = buf_pool_make size 0 in
-        let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:k0 ~upto:kmax ()) in
-        let run_chunk (c : Chunk.t) =
-          Metrics.incr m_chunks;
-          Trace.with_span "series.chunk"
-            ~attrs:[ ("lo", OJson.Int c.Chunk.lo); ("hi", OJson.Int c.Chunk.hi) ]
-          @@ fun () ->
-          let len = Chunk.length c in
-          let terms = buf_take term_bufs len in
-          let picks = buf_take pick_bufs len in
-          let stop_at j s = `Stopped (j, s) in
-          let rec at j =
-            if j >= len then `Full
+      let admit_stop = ref None in
+      let term_bufs = buf_pool_make size 0.0 in
+      let pick_bufs = buf_pool_make size 0 in
+      let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:k0 ~upto:kmax ()) in
+      let run_chunk (c : Chunk.t) =
+        Metrics.incr m_chunks;
+        Trace.with_span "series.chunk"
+          ~attrs:[ ("lo", OJson.Int c.Chunk.lo); ("hi", OJson.Int c.Chunk.hi) ]
+        @@ fun () ->
+        let len = Chunk.length c in
+        let terms = buf_take term_bufs len in
+        let picks = buf_take pick_bufs len in
+        let stop_at j s = `Stopped (j, s) in
+        let rec at j =
+          if j >= len then `Full
+          else begin
+            let k = c.Chunk.lo + j in
+            let n = index_of k in
+            if n > upto then stop_at j `Upto_hit
             else begin
-              let k = c.Chunk.lo + j in
-              let n = index_of k in
-              if n > upto then stop_at j `Upto_hit
-              else begin
-                match (if (not fast) && j land 15 = 0 then poll_cut budget else None) with
-                | Some exh -> stop_at j (`Cut exh)
-                | None -> (
-                  match eval n with
-                  | exception Faultinj.Injected site ->
-                    stop_at j (`Err (Run_error.Injected_fault { site = Faultinj.site_name site }))
-                  | exception e ->
-                    stop_at j
-                      (`Err
-                         (Run_error.Certificate
-                            { what = "divergence certificate"; msg = "term evaluation raised " ^ Printexc.to_string e }))
-                  | a -> (
-                    let verdict =
-                      match certificate with
-                      | Divergence.Harmonic { coeff; _ } ->
-                        let b = coeff /. float_of_int n in
+              match (if (not fast) && j land 15 = 0 then poll_cut budget else None) with
+              | Some exh -> stop_at j (`Cut exh)
+              | None -> (
+                match eval n with
+                | exception Faultinj.Injected site ->
+                  stop_at j (`Err (Run_error.Injected_fault { site = Faultinj.site_name site }))
+                | exception e ->
+                  stop_at j
+                    (`Err
+                       (Run_error.Certificate
+                          { what = "divergence certificate"; msg = "term evaluation raised " ^ Printexc.to_string e }))
+                | a -> (
+                  let verdict =
+                    match certificate with
+                    | Divergence.Harmonic { coeff; _ } ->
+                      let b = coeff /. float_of_int n in
+                      if a >= b -. ulp_slack b then Ok ()
+                      else Error (Printf.sprintf "term %d = %g below harmonic minorant %g" n a b)
+                    | Divergence.Bounded_below { bound; _ } ->
+                      if a >= bound -. ulp_slack bound then Ok ()
+                      else Error (Printf.sprintf "term %d = %g below floor %g" n a bound)
+                    | Divergence.Eventually_ratio_ge_one { floor; _ } ->
+                      if a < floor -. ulp_slack floor then
+                        Error (Printf.sprintf "term %d = %g below floor %g" n a floor)
+                      else if j > 0 && a < terms.(j - 1) -. ulp_slack terms.(j - 1) then
+                        Error (Printf.sprintf "terms decrease at %d" (n - 1))
+                      else Ok ()
+                    | Divergence.Subsequence_harmonic { coeff; _ } ->
+                      if j > 0 && n <= picks.(j - 1) then
+                        Error (Printf.sprintf "pick not strictly increasing at %d" k)
+                      else begin
+                        let b = coeff /. float_of_int k in
                         if a >= b -. ulp_slack b then Ok ()
-                        else Error (Printf.sprintf "term %d = %g below harmonic minorant %g" n a b)
-                      | Divergence.Bounded_below { bound; _ } ->
-                        if a >= bound -. ulp_slack bound then Ok ()
-                        else Error (Printf.sprintf "term %d = %g below floor %g" n a bound)
-                      | Divergence.Eventually_ratio_ge_one { floor; _ } ->
-                        if a < floor -. ulp_slack floor then
-                          Error (Printf.sprintf "term %d = %g below floor %g" n a floor)
-                        else if j > 0 && a < terms.(j - 1) -. ulp_slack terms.(j - 1) then
-                          Error (Printf.sprintf "terms decrease at %d" (n - 1))
-                        else Ok ()
-                      | Divergence.Subsequence_harmonic { coeff; _ } ->
-                        if j > 0 && n <= picks.(j - 1) then
-                          Error (Printf.sprintf "pick not strictly increasing at %d" k)
-                        else begin
-                          let b = coeff /. float_of_int k in
-                          if a >= b -. ulp_slack b then Ok ()
-                          else Error (Printf.sprintf "term at pick %d = %d is %g, below minorant %g" k n a b)
-                        end
-                    in
-                    match verdict with
-                    | Error msg -> stop_at j (`Err (Run_error.Certificate { what = "divergence certificate"; msg }))
-                    | Ok () ->
-                      terms.(j) <- a;
-                      picks.(j) <- n;
-                      at (j + 1)))
-              end
+                        else Error (Printf.sprintf "term at pick %d = %d is %g, below minorant %g" k n a b)
+                      end
+                  in
+                  match verdict with
+                  | Error msg -> stop_at j (`Err (Run_error.Certificate { what = "divergence certificate"; msg }))
+                  | Ok () ->
+                    terms.(j) <- a;
+                    picks.(j) <- n;
+                    at (j + 1)))
             end
-          in
-          (c, terms, picks, at 0)
+          end
         in
-        (* Merge state mirrors [go]'s accumulator exactly. *)
-        let fold (partial, prev, prev_pick, k_next, emitted) (c, terms, picks, outcome) =
-          let dlen = match outcome with `Full -> Chunk.length c | `Stopped (j, _) -> j in
-          (* Cross-index checks on the chunk's first index, against the
-             carried state — in [go]'s per-index check order. *)
-          let boundary_err =
-            match certificate with
-            | Divergence.Eventually_ratio_ge_one _ when dlen >= 1 -> (
-              match prev with
-              | Some p when terms.(0) < p -. ulp_slack p ->
-                Some (Printf.sprintf "terms decrease at %d" (c.Chunk.lo - 1))
-              | _ -> None)
-            | Divergence.Subsequence_harmonic _ when prev_pick <> min_int -> (
-              let first_attempted =
-                if dlen >= 1 then Some picks.(0)
-                else
-                  match outcome with
-                  | `Stopped (0, `Err _) -> Some (index_of c.Chunk.lo)
-                  | _ -> None
-              in
-              match first_attempted with
-              | Some n when n <= prev_pick ->
-                Some (Printf.sprintf "pick not strictly increasing at %d" c.Chunk.lo)
-              | _ -> None)
-            | _ -> None
-          in
-          match boundary_err with
-          | Some msg -> Error (`Fail (Run_error.Certificate { what = "divergence certificate"; msg }))
-          | None ->
-            let partial = ref partial in
-            for j = 0 to dlen - 1 do
-              if not (Float.is_nan terms.(j)) then partial := !partial +. terms.(j)
-            done;
-            let partial = !partial in
-            let prev = if dlen >= 1 then Some terms.(dlen - 1) else prev in
-            let prev_pick = if dlen >= 1 then picks.(dlen - 1) else prev_pick in
-            let k_next = if dlen >= 1 then c.Chunk.lo + dlen else k_next in
-            let st = (partial, prev, prev_pick, k_next, emitted) in
-            buf_give term_bufs terms;
-            buf_give pick_bufs picks;
-            (match outcome with
-            | `Full ->
-              let emitted =
-                match progress with
-                | Some emit ->
-                  let due = (k_next - k0) / progress_every in
-                  if due > emitted then begin
-                    emit (snapshot k_next partial prev prev_pick);
-                    due
-                  end
-                  else emitted
-                | None -> emitted
-              in
-              Ok (partial, prev, prev_pick, k_next, emitted)
-            | `Stopped (_, `Upto_hit) -> Error (`Done st)
-            | `Stopped (_, `Cut exh) -> Error (`Cut (st, exh))
-            | `Stopped (_, `Err e) -> Error (`Fail e))
+        (c, terms, picks, at 0)
+      in
+      (* Merge state: witness partial sum, last term, last pick, next k. *)
+      let fold (partial, prev, prev_pick, k_next, emitted) (c, terms, picks, outcome) =
+        let dlen = match outcome with `Full -> Chunk.length c | `Stopped (j, _) -> j in
+        (* Cross-index checks on the chunk's first index, against the
+           carried state — in per-index check order. *)
+        let boundary_err =
+          match certificate with
+          | Divergence.Eventually_ratio_ge_one _ when dlen >= 1 -> (
+            match prev with
+            | Some p when terms.(0) < p -. ulp_slack p ->
+              Some (Printf.sprintf "terms decrease at %d" (c.Chunk.lo - 1))
+            | _ -> None)
+          | Divergence.Subsequence_harmonic _ when prev_pick <> min_int -> (
+            let first_attempted =
+              if dlen >= 1 then Some picks.(0)
+              else
+                match outcome with
+                | `Stopped (0, `Err _) -> Some (index_of c.Chunk.lo)
+                | _ -> None
+            in
+            match first_attempted with
+            | Some n when n <= prev_pick ->
+              Some (Printf.sprintf "pick not strictly increasing at %d" c.Chunk.lo)
+            | _ -> None)
+          | _ -> None
         in
-        let finish_exhausted (partial, prev, prev_pick, k_next, _) exhausted =
-          let last = last_evaluated k_next prev_pick in
-          Ok
-            ( Div_exhausted
-                {
-                  partial;
-                  minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
-                  last;
-                  requested = upto;
-                  exhausted;
-                },
-              snapshot k_next partial prev prev_pick )
-        in
-        let init = (st0.Snapshot.partial, st0.Snapshot.prev_term, st0.Snapshot.prev_pick, k0, 0) in
-        (match Reduce.map_fold pool ~map:run_chunk ~fold ~init chunks with
-        | Error (`Fail e) -> Error e
-        | Error (`Cut (st, exh)) -> finish_exhausted st exh
-        | Error (`Done (partial, prev, prev_pick, k_next, _)) ->
-          Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick)
-        | Ok ((partial, prev, prev_pick, k_next, _) as st) -> (
-          match !admit_stop with
-          | Some exh -> finish_exhausted st exh
-          | None -> Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick))))
-
-(* With a pool, the budgeted divergence check runs the chunked resumable
-   engine (identical verdicts on completion; chunk-aligned exhaustion). *)
-let certify_divergence_budgeted ?pool ?chunk ?start ?budget f ~certificate ~upto =
-  match pool with
-  | None -> certify_divergence_budgeted ?start ?budget f ~certificate ~upto
-  | Some _ -> Result.map fst (certify_divergence_resumable ?pool ?chunk ?start ?budget f ~certificate ~upto)
+        match boundary_err with
+        | Some msg -> Error (`Fail (Run_error.Certificate { what = "divergence certificate"; msg }))
+        | None ->
+          let partial = ref partial in
+          for j = 0 to dlen - 1 do
+            if not (Float.is_nan terms.(j)) then partial := !partial +. terms.(j)
+          done;
+          let partial = !partial in
+          let prev = if dlen >= 1 then Some terms.(dlen - 1) else prev in
+          let prev_pick = if dlen >= 1 then picks.(dlen - 1) else prev_pick in
+          let k_next = if dlen >= 1 then c.Chunk.lo + dlen else k_next in
+          let st = (partial, prev, prev_pick, k_next, emitted) in
+          buf_give term_bufs terms;
+          buf_give pick_bufs picks;
+          (match outcome with
+          | `Full ->
+            let emitted =
+              match progress with
+              | Some emit ->
+                let due = (k_next - k0) / progress_every in
+                if due > emitted then begin
+                  emit (snapshot k_next partial prev prev_pick);
+                  due
+                end
+                else emitted
+              | None -> emitted
+            in
+            Ok (partial, prev, prev_pick, k_next, emitted)
+          | `Stopped (_, `Upto_hit) -> Error (`Done st)
+          | `Stopped (_, `Cut exh) -> Error (`Cut (st, exh))
+          | `Stopped (_, `Err e) -> Error (`Fail e))
+      in
+      let finish_exhausted (partial, prev, prev_pick, k_next, _) exhausted =
+        let last = last_evaluated k_next prev_pick in
+        Ok
+          ( Div_exhausted
+              {
+                partial;
+                minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
+                last;
+                requested = upto;
+                exhausted;
+              },
+            snapshot k_next partial prev prev_pick )
+      in
+      let init = (st0.Snapshot.partial, st0.Snapshot.prev_term, st0.Snapshot.prev_pick, k0, 0) in
+      match Reduce.map_fold pool ~map:run_chunk ~fold ~init chunks with
+      | Error (`Fail e) -> Error e
+      | Error (`Cut (st, exh)) -> finish_exhausted st exh
+      | Error (`Done (partial, prev, prev_pick, k_next, _)) ->
+        Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick)
+      | Ok ((partial, prev, prev_pick, k_next, _) as st) -> (
+        match !admit_stop with
+        | Some exh -> finish_exhausted st exh
+        | None -> Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick)))
 
 let sum_budgeted ?pool ?chunk ?start ?budget f ~tail ~upto =
   Result.map fst (sum_resumable ?pool ?chunk ?start ?budget f ~tail ~upto)
@@ -1101,6 +817,15 @@ let sum ?(start = 0) f ~tail ~upto =
 
 let sum_exn ?start f ~tail ~upto =
   match sum ?start f ~tail ~upto with Ok i -> i | Error msg -> failwith ("Series.sum: " ^ msg)
+
+let certify_divergence_budgeted ?pool ?chunk ?start ?budget f ~certificate ~upto =
+  Result.map fst (certify_divergence_resumable ?pool ?chunk ?start ?budget f ~certificate ~upto)
+
+let certify_divergence ?start f ~certificate ~upto =
+  match certify_divergence_budgeted ?start f ~certificate ~upto with
+  | Ok (Div_complete { partial; at }) -> Ok (Diverges { certificate; partial; at })
+  | Ok (Div_exhausted _) -> Error "unlimited budget exhausted (impossible)"
+  | Error e -> Error (Run_error.message e)
 
 module Qb = Ipdb_bignum.Q
 

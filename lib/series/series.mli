@@ -42,11 +42,6 @@ module Tail : sig
       [n] is at or past the certificate's index.
       @raise Invalid_argument when [n] precedes the certificate's index. *)
 
-  val validate : t -> term -> from_index:int -> upto:int -> (unit, string) result
-  (** Checks that every computed term in [from_index..upto] obeys the
-      certificate's pointwise hypothesis (with 4 ulps of slack) and that the
-      certificate's parameters are in range. *)
-
   val pp : Format.formatter -> t -> unit
 end
 
@@ -66,10 +61,6 @@ module Divergence : sig
             for divergence of a non-negative series — the Lemma 6.6
             argument, where only the strictly-growing worlds are heavy). *)
 
-  val validate : t -> term -> upto:int -> (unit, string) result
-  (** Checks the minorant on all computed terms from the certificate's index
-      to [upto]. *)
-
   val minorant_partial_sum : t -> int -> float
   (** Lower bound on [sum a_n] up to the given index implied by the
       certificate alone. Tends to infinity with the index. *)
@@ -83,21 +74,22 @@ type verdict =
   | Diverges of { certificate : Divergence.t; partial : float; at : int }
       (** Validated minorant plus a partial sum computed as a witness. *)
 
-val partial_sum : ?start:int -> term -> int -> float
-(** [partial_sum ~start f n] is [f start + ... + f n] (plain float; for
-    display). *)
-
 val partial_sum_interval : ?start:int -> term -> int -> Interval.t
-(** Same, as an interval enclosure of the float additions. *)
+(** [partial_sum_interval ~start f n] encloses [f start + ... + f n]: an
+    interval enclosure of the float additions. *)
 
 (** {1 The budgeted engine}
 
-    All certified summation funnels through {!sum_budgeted} /
-    {!certify_divergence_budgeted}: a single fused pass that evaluates each
-    term once, validates the certificate's pointwise hypothesis on it, and
-    accumulates the interval partial sum — consuming one {!Ipdb_run.Budget}
-    step per term. Exhausting the budget is not an error: it degrades to an
-    {!Exhausted} value carrying the evidence accumulated so far. *)
+    There are two engines, one per job: {!sum_resumable} for sums and
+    {!certify_divergence_resumable} for divergence checks. Every other
+    entry point wraps one of them. Each engine splits the index range into
+    a chunk plan and runs the chunks on a pool, or inline on the caller
+    without one. A chunk evaluates each term once and validates the
+    certificate's pointwise hypothesis on it; an index-ordered fold then
+    accumulates the partial sum. One {!Ipdb_run.Budget} step is reserved per
+    index, a chunk at a time. Exhausting the budget is not an error: it
+    degrades to an {!Exhausted} value carrying the evidence accumulated so
+    far. *)
 
 (** What a budget-interrupted summation still certifies. *)
 type partial = {
@@ -134,10 +126,10 @@ val sum_budgeted :
     trouble; exceptions escaping the term function are converted to typed
     errors.
 
-    With [?pool] the chunked parallel engine runs instead (see
-    {!sum_resumable} for the determinism contract); the term function must
-    then be safe to call from several domains at once (the certificate
-    families in [Ipdb_core.Zoo] all are). *)
+    With [?pool] the chunks run on the pool (see {!sum_resumable} for the
+    determinism contract); the term function must then be safe to call
+    from several domains at once (the certificate families in
+    [Ipdb_core.Zoo] all are). *)
 
 type divergence_budgeted =
   | Div_complete of { partial : float; at : int }
@@ -160,11 +152,12 @@ val certify_divergence_budgeted :
   certificate:Divergence.t ->
   upto:int ->
   (divergence_budgeted, Ipdb_run.Error.t) result
-(** Budgeted {!certify_divergence}: each term evaluation consumes one budget
-    step; exhaustion degrades to [Div_exhausted] with the witness evidence
-    accumulated so far. With [?pool] this runs the chunked parallel
-    divergence engine of {!certify_divergence_resumable} (identical
-    verdicts on completion; chunk-aligned stop points on exhaustion). *)
+(** Budgeted {!certify_divergence}: {!certify_divergence_resumable}
+    without the snapshot. Each loop index consumes one budget step,
+    whatever the certificate (a ratio certificate compares neighbouring
+    terms but still evaluates each term once). Exhaustion degrades to
+    [Div_exhausted] with the witness evidence accumulated so far, at the
+    same index with or without a pool. *)
 
 val sum : ?start:int -> term -> tail:Tail.t -> upto:int -> (Interval.t, string) result
 (** Certified enclosure of the infinite sum: validates [tail] on the computed
@@ -178,7 +171,9 @@ val sum_exn : ?start:int -> term -> tail:Tail.t -> upto:int -> Interval.t
 val certify_divergence :
   ?start:int -> term -> certificate:Divergence.t -> upto:int -> (verdict, string) result
 (** Validates the divergence certificate on the computed prefix and returns
-    [Diverges] with the witness partial sum. *)
+    [Diverges] with the witness partial sum over the checked terms (for a
+    subsequence certificate, the picked terms). Equivalent to
+    {!certify_divergence_budgeted} with an unlimited budget. *)
 
 (** {1 Snapshots and resumable engines}
 
@@ -186,7 +181,7 @@ val certify_divergence :
     engine: the interval prefix sum (endpoints persisted as {e exact
     rationals}), the next index to evaluate, and — for divergence
     certificates — the carried term/pick context. Because both engines
-    are sequential left folds, restarting from a snapshot replays the
+    fold in index order, restarting from a snapshot replays the
     identical float operations in the identical order, so a resumed run
     produces {e bit-for-bit} the same enclosure and verdict as an
     uninterrupted one (the resume-equivalence property tests pin this
@@ -241,30 +236,32 @@ val sum_resumable :
   (budgeted * Snapshot.t, Ipdb_run.Error.t) result
 (** {!sum_budgeted} with checkpoint/resume: [from] restarts the fold from
     a snapshot's exact state (a snapshot of a different computation is a
-    typed [Validation] error); [progress] is invoked every
-    [progress_every] evaluated terms (default 1000) with the current
-    snapshot. The returned snapshot reflects the final state — for an
-    [Exhausted] verdict it is exactly the point to resume from. One-shot
-    and interrupted-then-resumed runs produce bit-identical results.
+    typed [Validation] error); [progress] is invoked with the current
+    snapshot at the first chunk boundary past each multiple of
+    [progress_every] evaluated terms (default 1000). The returned snapshot
+    reflects the final state — for an [Exhausted] verdict it is exactly
+    the point to resume from. One-shot and interrupted-then-resumed runs
+    produce bit-identical results.
 
-    {b Parallelism.} With [?pool] the prefix is evaluated in fixed chunks
-    of [?chunk] indices (default {!Ipdb_par.Chunk.default_size}) on the
-    pool: workers evaluate terms and validate the certificate's pointwise
-    hypothesis, while the interval fold replays their results strictly in
-    index order on the calling domain. Because chunk boundaries depend
-    only on [(start, upto, chunk)] and the fold order is the sequential
-    order, the enclosure, verdict, and final snapshot of a {e completed}
-    run are bit-for-bit identical to the sequential engine's, for every
-    worker count. Budget steps are reserved per chunk, in chunk order, on
-    the calling domain, so step-budget exhaustion also stops at an index
-    that is independent of worker count — but, unlike the sequential
-    engine's per-term accounting, the stop index is chunk-plan-aligned,
-    and [progress]/exhaustion snapshots are emitted at chunk boundaries.
-    Every such snapshot is an exact sequential state, so sequential and
-    parallel runs can resume each other freely; a resumed chain that runs
-    to completion reproduces the uninterrupted enclosure exactly.
-    Wall-clock and cancellation trips remain timing-dependent, exactly as
-    they are sequentially. *)
+    {b Chunks.} The prefix is evaluated in fixed chunks of [?chunk]
+    indices. The default is {!Ipdb_par.Chunk.default_size}, lowered to
+    [progress_every] when [progress] is given, so that every multiple of a
+    [progress_every] up to the default size is a chunk boundary. A chunk
+    evaluates its terms and validates the certificate's pointwise
+    hypothesis on them; the interval fold replays the results strictly in
+    index order on the calling domain. With [?pool] the chunks run on
+    the pool's workers, without one they run inline on the caller. Because
+    chunk boundaries depend only on [(start, upto, chunk)] and the fold
+    runs in index order, the enclosure, verdict, and final snapshot of a
+    {e completed} run are bit-for-bit identical with and without a pool,
+    for every worker count. Budget steps are reserved per chunk, in chunk
+    order, on the calling domain; a partial grant truncates the last
+    chunk, so a step budget of [n] stops after exactly [n] terms, with
+    the same [exhausted] value with or without a pool. Every snapshot is
+    an exact fold state, so runs with and without a pool can resume each
+    other freely; a resumed chain that runs to completion reproduces the
+    uninterrupted enclosure exactly. Wall-clock and cancellation trips
+    remain timing-dependent. *)
 
 val certify_divergence_resumable :
   ?pool:Ipdb_par.Pool.t ->
@@ -279,14 +276,14 @@ val certify_divergence_resumable :
   upto:int ->
   (divergence_budgeted * Snapshot.t, Ipdb_run.Error.t) result
 (** Resumable divergence checking: one term evaluation and one budget step
-    per index, equivalent to {!certify_divergence_budgeted} on completion,
-    whose cross-index state is a {!Snapshot.t}. Same resume-equivalence
-    guarantee as {!sum_resumable}, and the same [?pool] contract: chunk
-    workers evaluate terms and check the pointwise minorant hypotheses,
-    while the witness fold and the cross-index checks (ratio decrease,
-    pick monotonicity) replay in index order on the calling domain —
-    completed verdicts, witness partial sums, and snapshots are
-    bit-identical to the sequential engine for every worker count. *)
+    per loop index, whose cross-index state is a {!Snapshot.t}. Same
+    resume-equivalence guarantee as {!sum_resumable}, and the same chunk
+    and [?pool] contract: a chunk evaluates terms and checks the pointwise
+    minorant hypotheses, while the witness fold and the cross-index checks
+    (ratio decrease, pick monotonicity) replay in index order on the
+    calling domain. Verdicts, witness partial sums, stop indices and
+    snapshots are identical with and without a pool, for every worker
+    count. *)
 
 val geometric_tail_exact : Ipdb_bignum.Q.t -> int -> Ipdb_bignum.Q.t
 (** [geometric_tail_exact r n] is the exact value [r^n / (1 - r)] of

@@ -87,6 +87,8 @@ let run_div ?pool ?chunk ?budget ?from c =
 (* Result comparison                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let same_exhaustion a b = Ipdb_run.Error.exhaustion_to_string a = Ipdb_run.Error.exhaustion_to_string b
+
 let same_sum_outcome label a b =
   match (a, b) with
   | Ok (va, sa), Ok (vb, sb) ->
@@ -96,6 +98,7 @@ let same_sum_outcome label a b =
         | Series.Exhausted pa, Series.Exhausted pb ->
             interval_bits pa.Series.prefix = interval_bits pb.Series.prefix
             && pa.Series.last = pb.Series.last
+            && same_exhaustion pa.Series.exhausted pb.Series.exhausted
             && (match (pa.Series.enclosure, pb.Series.enclosure) with
                | None, None -> true
                | Some x, Some y -> interval_bits x = interval_bits y
@@ -117,9 +120,9 @@ let same_div_outcome label a b =
         match (va, vb) with
         | Series.Div_complete { partial = pa; at = aa }, Series.Div_complete { partial = pb; at = ab } ->
             bits pa = bits pb && aa = ab
-        | ( Series.Div_exhausted { partial = pa; last = la; _ },
-            Series.Div_exhausted { partial = pb; last = lb; _ } ) ->
-            bits pa = bits pb && la = lb
+        | ( Series.Div_exhausted { partial = pa; last = la; exhausted = ea; _ },
+            Series.Div_exhausted { partial = pb; last = lb; exhausted = eb; _ } ) ->
+            bits pa = bits pb && la = lb && same_exhaustion ea eb
         | _ -> false
       in
       if not same_verdict then fail "%s: verdicts differ" label
@@ -141,11 +144,13 @@ let parallel_sum_equals_sequential c =
 
 let parallel_sum_jobs_invariant (c, max_steps) =
   let max_steps = Stdlib.max 1 max_steps in
-  (* Step budgets exhaust at a chunk-aligned index that must not depend on
-     the worker count (fresh budget per run: steps are consumed). *)
-  let a = run_sum ~pool:(pool_of_index 0) ~chunk:c.chunk ~budget:(Budget.make ~max_steps ()) c in
-  let b = run_sum ~pool:(pool_of_index 2) ~chunk:c.chunk ~budget:(Budget.make ~max_steps ()) c in
-  same_sum_outcome "budgeted sum jobs=1 vs jobs=8" a b
+  (* Step budgets exhaust at an index, with an exhaustion report, that
+     must not depend on the worker count or on whether there is a pool
+     at all (fresh budget per run: steps are consumed). *)
+  let run ?pool () = run_sum ?pool ~chunk:c.chunk ~budget:(Budget.make ~max_steps ()) c in
+  let a = run ~pool:(pool_of_index 0) () in
+  same_sum_outcome "budgeted sum jobs=1 vs jobs=8" a (run ~pool:(pool_of_index 2) ())
+  && same_sum_outcome "budgeted sum jobs=1 vs no pool" a (run ())
 
 let parallel_sum_resume_equivalence (c, max_steps) =
   let max_steps = Stdlib.max 1 max_steps in
@@ -171,9 +176,10 @@ let parallel_divergence_equals_sequential c =
 
 let parallel_divergence_jobs_invariant (c, max_steps) =
   let max_steps = Stdlib.max 1 max_steps in
-  let a = run_div ~pool:(pool_of_index 0) ~chunk:c.dchunk ~budget:(Budget.make ~max_steps ()) c in
-  let b = run_div ~pool:(pool_of_index 2) ~chunk:c.dchunk ~budget:(Budget.make ~max_steps ()) c in
-  same_div_outcome "budgeted divergence jobs=1 vs jobs=8" a b
+  let run ?pool () = run_div ?pool ~chunk:c.dchunk ~budget:(Budget.make ~max_steps ()) c in
+  let a = run ~pool:(pool_of_index 0) () in
+  same_div_outcome "budgeted divergence jobs=1 vs jobs=8" a (run ~pool:(pool_of_index 2) ())
+  && same_div_outcome "budgeted divergence jobs=1 vs no pool" a (run ())
 
 let parallel_divergence_resume_equivalence (c, max_steps) =
   let max_steps = Stdlib.max 1 max_steps in
@@ -247,7 +253,7 @@ let test_reduce_stops_pulling () =
   let pulled = ref 0 in
   let seq = Seq.ints 0 |> Seq.map (fun i -> incr pulled; i) in
   let r =
-    Reduce.map_fold pool ~window:4 ~map:Fun.id ~init:0 seq ~fold:(fun acc i -> if i >= 10 then Error acc else Ok (acc + i))
+    Reduce.map_fold (Some pool) ~window:4 ~map:Fun.id ~init:0 seq ~fold:(fun acc i -> if i >= 10 then Error acc else Ok (acc + i))
   in
   (match r with Error acc -> Alcotest.(check int) "folded prefix" 45 acc | Ok _ -> Alcotest.fail "expected stop");
   Alcotest.(check bool) "lazy producer stopped early" true (!pulled <= 20)

@@ -137,6 +137,36 @@ let test_geometric_tail_exact () =
   Alcotest.check_raises "ratio 1 rejected" (Invalid_argument "Series.geometric_tail_exact: need 0 <= r < 1")
     (fun () -> ignore (Series.geometric_tail_exact Q.one 2))
 
+(* ------------------------------------------------------------------ *)
+(* Work gate: words allocated per term at jobs=1                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Gc.allocated_bytes in words, i.e. minor + major - promoted. The minor
+   part is read from Gc.minor_words: OCaml 5.1's Gc.counters (and so
+   Gc.allocated_bytes) undercounts the words allocated since the last
+   minor collection by the word size. *)
+let allocated_words_so_far () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* A pool-less, unlimited p-series sum: the inline chunk engine with its
+   allocation-free fold. The bound holds for the fast arithmetic only;
+   the reference path runs the instrumented loops and is not gated. *)
+let test_gate_sum () =
+  let name = "pool-less sum of 1/n^2.5" in
+  if Ipdb_bignum.Arith.reference () then
+    Printf.printf "work gate %s: not evaluated under IPDB_ARITH_REFERENCE=1\n" name
+  else begin
+    let terms = 200_000 and bound = 8.0 in
+    let term n = 1.0 /. (float_of_int n ** 2.5) in
+    let tail = Series.Tail.P_series { index = 1; coeff = 1.0; p = 2.5 } in
+    let before = allocated_words_so_far () in
+    ignore (Sys.opaque_identity (Series.sum_budgeted ~start:1 term ~tail ~upto:terms));
+    let per_term = (allocated_words_so_far () -. before) /. float_of_int terms in
+    Printf.printf "work gate %s: %.2f words/term (bound %.0f)\n" name per_term bound;
+    if per_term > bound then Alcotest.failf "%s allocated %.2f words/term, bound %.0f" name per_term bound
+  end
+
 let () =
   Alcotest.run "series"
     [ ("interval-unit", [ Alcotest.test_case "basics" `Quick test_interval_basics ]);
@@ -154,5 +184,6 @@ let () =
           Alcotest.test_case "rejection" `Quick test_divergence_rejection;
           Alcotest.test_case "subsequence minorant" `Quick test_subsequence_divergence;
           Alcotest.test_case "minorant partial sums" `Quick test_minorant_partial
-        ] )
+        ] );
+      ("work-gate", [ Alcotest.test_case "pool-less p-series sum" `Quick test_gate_sum ])
     ]
